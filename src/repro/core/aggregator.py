@@ -68,6 +68,12 @@ class StaticController(AggregatorController):
 class AdaptiveController(AggregatorController):
     """Cedar's online controller (Pseudocode 1).
 
+    Every planning step is ``stop = clamp(wait(last_estimate), now, D)``:
+    once up front when a prior is given, then whenever the online fit
+    refreshes the estimate. The controller also records its arrivals, so
+    a warm-start policy can harvest them (and :meth:`online_estimate`)
+    straight off it after the query.
+
     Parameters
     ----------
     estimator:
@@ -133,20 +139,21 @@ class AdaptiveController(AggregatorController):
         self._stream = StreamingEstimator(estimator, est_k)
         self._optimizer = optimizer
         self._k = int(k)
-        self._received = 0
         self._deadline = float(deadline)
         self._min_samples = int(min_samples)
         self._reoptimize_every = int(reoptimize_every)
+        #: every arrival seen, in order (harvested by warm-start policies).
+        self.arrivals: list[float] = []
         # Pseudocode 1: SetTimer(D, TimerExpire) before any output arrives.
         self._stop = float(deadline)
-        self._last_estimate: Optional[Distribution] = None
+        self._last_estimate: Optional[Distribution] = prior
+        # identity marker: last_estimate still being this object means the
+        # online fit never ran, so harvesting it back into a warm-start
+        # store would create a feedback echo.
+        self._initial_estimate = prior
         if prior is not None:
-            # Warm start: plan the timer from the prior immediately, as
-            # if the distribution were known up front; online arrivals
-            # overwrite both once `min_samples` have been observed.
-            self._last_estimate = prior
-            wait = self._optimizer.optimize(prior, self._k)
-            self._stop = min(max(wait, 0.0), self._deadline)
+            # Warm start: plan from the prior as if it were known up front.
+            self._plan(0.0)
 
     # ------------------------------------------------------------------
     @property
@@ -155,36 +162,53 @@ class AdaptiveController(AggregatorController):
 
     @property
     def n_received(self) -> int:
-        return self._received
+        return len(self.arrivals)
 
     @property
     def last_estimate(self) -> Optional[Distribution]:
         """Most recent fitted arrival distribution (None before warm-up)."""
         return self._last_estimate
 
+    def online_estimate(self) -> Optional[Distribution]:
+        """The fitted distribution if the *online* learner produced one
+        (an injected prior does not count)."""
+        est = self.last_estimate
+        if est is None or est is self._initial_estimate:
+            return None
+        return est
+
     # ------------------------------------------------------------------
+    def _plan(self, now: float) -> None:
+        """One planning step at absolute time ``now``."""
+        assert self._last_estimate is not None
+        wait = self._optimizer.optimize(self._last_estimate, self._k)
+        # the wait is measured from query start; never stop before `now`
+        # (we are still processing this arrival) nor after the deadline.
+        self._stop = min(max(wait, now), self._deadline)
+
+    def _refit(self, fed: bool) -> bool:
+        """Refresh ``last_estimate`` when due; True means re-plan now."""
+        if not fed:
+            return False
+        n = self._stream.n_observed
+        if n < self._min_samples:
+            return False
+        if (n - self._min_samples) % self._reoptimize_every != 0:
+            return False
+        self._last_estimate = self._stream.estimate_distribution()
+        return True
+
     def on_arrival(self, t: float) -> None:
-        self._received += 1
+        self.arrivals.append(t)
         # with a deflated estimate_k, arrivals beyond it (more inputs
         # survived than planned) carry no usable order-statistic rank —
         # keep the last estimate, keep counting.
         fed = not self._stream.complete
         if fed:
             self._stream.observe(t)
-        if self._received == self._k:
+        if len(self.arrivals) == self._k:
             # all outputs received: SetTimer(0) — ship immediately.
             self._stop = t
             return
-        if not fed:
-            return
-        n = self._stream.n_observed
-        if n < self._min_samples:
-            return
-        if (n - self._min_samples) % self._reoptimize_every != 0:
-            return
-        est = self._stream.estimate_distribution()
-        self._last_estimate = est
-        wait = self._optimizer.optimize(est, self._k)
-        # the wait is measured from query start; never stop before `t`
-        # (we are still processing this arrival) nor after the deadline.
-        self._stop = min(max(wait, t), self._deadline)
+        if self._refit(fed):
+            self._plan(t)

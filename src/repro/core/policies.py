@@ -269,23 +269,49 @@ class CedarPolicy(WaitPolicy):
         self._schedules = _ScheduleCache(grid_points)
         self._optimizers: dict[tuple, WaitOptimizer] = {}
 
-    def _optimizer(self, ctx: QueryContext) -> WaitOptimizer:
-        key = (ctx.offline_tree.stages[1:], round(ctx.deadline, 12))
+    def _optimizer(
+        self, tail_stages: tuple[Stage, ...], deadline: float
+    ) -> WaitOptimizer:
+        """Memoized optimizer for the subtree above one aggregator level."""
+        key = (tail_stages, round(deadline, 12))
         found = self._optimizers.get(key)
         if found is None:
-            if self.wait_cache is not None:
-                found = CachedWaitOptimizer(
-                    ctx.offline_tree.stages[1:],
-                    ctx.deadline,
-                    self.grid_points,
-                    cache=self.wait_cache,
-                )
-            else:
-                found = WaitOptimizer(
-                    ctx.offline_tree.stages[1:], ctx.deadline, self.grid_points
-                )
-            self._optimizers[key] = found
+            found = self._optimizers[key] = self._new_optimizer(
+                tail_stages, deadline
+            )
         return found
+
+    def _new_optimizer(
+        self, tail_stages: tuple[Stage, ...], deadline: float
+    ) -> WaitOptimizer:
+        """Answered from the shared quantized cache when one is wired."""
+        if self.wait_cache is not None:
+            return CachedWaitOptimizer(
+                tail_stages, deadline, self.grid_points, cache=self.wait_cache
+            )
+        return WaitOptimizer(tail_stages, deadline, self.grid_points)
+
+    def _min_samples_for(self, prior: Optional[Distribution]) -> int:
+        """Arrivals before the online fit replaces ``prior``."""
+        return self.min_samples
+
+    def _adaptive(
+        self,
+        ctx: QueryContext,
+        level: int,
+        prior: Optional[Distribution] = None,
+    ) -> AdaptiveController:
+        """Pseudocode 1 controller for one level-``level`` aggregator."""
+        stages = ctx.offline_tree.stages
+        return AdaptiveController(
+            estimator=self._estimator_factory(),
+            optimizer=self._optimizer(stages[level:], ctx.deadline),
+            k=stages[level - 1].fanout,
+            deadline=ctx.deadline,
+            min_samples=self._min_samples_for(prior),
+            reoptimize_every=self.reoptimize_every,
+            prior=prior,
+        )
 
     def _schedule(self, tree: TreeSpec, deadline: float) -> WaitSchedule:
         """Upper-level static schedule — from the shared quantized cache
@@ -297,14 +323,7 @@ class CedarPolicy(WaitPolicy):
     def controller(self, ctx: QueryContext, level: int) -> AggregatorController:
         _check_level(ctx, level)
         if level == 1:
-            return AdaptiveController(
-                estimator=self._estimator_factory(),
-                optimizer=self._optimizer(ctx),
-                k=ctx.offline_tree.stages[0].fanout,
-                deadline=ctx.deadline,
-                min_samples=self.min_samples,
-                reoptimize_every=self.reoptimize_every,
-            )
+            return self._adaptive(ctx, 1)
         sched = self._schedule(ctx.offline_tree, ctx.deadline)
         return StaticController(min(sched.stop_for_level(level), ctx.deadline))
 
@@ -320,30 +339,15 @@ class CedarDeepPolicy(CedarPolicy):
     stage is) and re-optimizes against the remaining upper subtree. When
     upper stages do drift per query, this recovers what the static
     schedule leaves on the table; when they don't, it matches plain
-    Cedar (asserted in the tests).
+    Cedar (asserted in the tests). ``wait_cache`` serves every level's
+    re-plans.
     """
 
     name = "cedar-deep"
 
     def controller(self, ctx: QueryContext, level: int) -> AggregatorController:
         _check_level(ctx, level)
-        if level == 1:
-            return super().controller(ctx, 1)
-        key = (ctx.offline_tree.stages[level:], round(ctx.deadline, 12))
-        found = self._optimizers.get(key)
-        if found is None:
-            found = WaitOptimizer(
-                ctx.offline_tree.stages[level:], ctx.deadline, self.grid_points
-            )
-            self._optimizers[key] = found
-        return AdaptiveController(
-            estimator=self._estimator_factory(),
-            optimizer=found,
-            k=ctx.offline_tree.stages[level - 1].fanout,
-            deadline=ctx.deadline,
-            min_samples=self.min_samples,
-            reoptimize_every=self.reoptimize_every,
-        )
+        return self._adaptive(ctx, level)
 
 
 class CedarFailureAwarePolicy(CedarPolicy):
@@ -445,34 +449,20 @@ class CedarFailureAwarePolicy(CedarPolicy):
             )
         return TreeSpec(stages)
 
-    def _optimizer(self, ctx: QueryContext) -> WaitOptimizer:
-        key = (
-            ctx.offline_tree.stages[1:],
-            round(ctx.deadline, 12),
-            self.shipment_survival,
+    def _new_optimizer(
+        self, tail_stages: tuple[Stage, ...], deadline: float
+    ) -> WaitOptimizer:
+        return FailureAwareWaitOptimizer(
+            tail_stages,
+            deadline,
+            self.grid_points,
+            shipment_survival=self.shipment_survival,
         )
-        found = self._optimizers.get(key)
-        if found is None:
-            found = FailureAwareWaitOptimizer(
-                ctx.offline_tree.stages[1:],
-                ctx.deadline,
-                self.grid_points,
-                shipment_survival=self.shipment_survival,
-            )
-            self._optimizers[key] = found
-        return found
 
     def controller(self, ctx: QueryContext, level: int) -> AggregatorController:
         _check_level(ctx, level)
         if level == 1:
-            return AdaptiveController(
-                estimator=self._estimator_factory(),
-                optimizer=self._optimizer(ctx),
-                k=ctx.offline_tree.stages[0].fanout,
-                deadline=ctx.deadline,
-                min_samples=self.min_samples,
-                reoptimize_every=self.reoptimize_every,
-            )
+            return self._adaptive(ctx, 1)
         sched = self._schedule(
             self._deflated_tree(ctx.offline_tree), ctx.deadline
         )

@@ -38,7 +38,6 @@ from ..core import (
     MeanSubtractPolicy,
     ProportionalSplitPolicy,
 )
-from ..core.wait_table import CedarTabulatedPolicy
 from ..errors import ConfigError, SimulationError
 from ..simulation import run_experiment
 from ..traces import make_workload
@@ -54,7 +53,6 @@ POLICY_FACTORIES = {
     "cedar-deep": lambda gp: CedarDeepPolicy(grid_points=gp),
     "cedar-empirical": lambda gp: CedarEmpiricalPolicy(grid_points=gp),
     "cedar-offline": lambda gp: CedarOfflinePolicy(grid_points=gp),
-    "cedar-tabulated": lambda gp: CedarTabulatedPolicy(grid_points=gp),
     # default rates; a sweep's "faults" block overrides them (run_sweep
     # rebuilds the policy from the spec's fault model).
     "cedar-failure-aware": lambda gp: CedarFailureAwarePolicy(

@@ -31,8 +31,7 @@ from ..core.policies import QueryContext
 from ..core.quality import DEFAULT_GRID_POINTS
 from ..core.waitbatch import WaitCacheLike
 from ..distributions import Distribution
-from ..errors import ConfigError
-from ..estimation import Estimator, StreamingEstimator
+from ..estimation import Estimator
 from ..obs.profile import PROFILER
 from ..serve.warmstart import CedarWarmPolicy, WarmStartStore
 from .features import StateFeaturizer
@@ -80,15 +79,16 @@ class LearnedPolicyStats:
         }
 
 
-class LearnedController(AggregatorController):
+class LearnedController(AdaptiveController):
     """One aggregator's controller: table lookups with a guarded fallback.
 
-    Mirrors :class:`~repro.core.aggregator.AdaptiveController`'s
-    observable contract (``stop_time``/``n_received``/``last_estimate``)
-    and its estimation cadence — the online fit takes over the regime
-    estimate after ``min_samples`` arrivals, refreshed every
-    ``reoptimize_every``-th — but plans each stop with one O(1) lookup
-    instead of a wait sweep.
+    An :class:`~repro.core.aggregator.AdaptiveController` with the same
+    estimation cadence — the online fit takes over the regime estimate
+    after ``min_samples`` arrivals, refreshed every ``reoptimize_every``-th
+    — that plans at *every* arrival (the table is O(1)) and plans each
+    stop with one lookup instead of a wait sweep. The initial ``regime``
+    plays the prior's part: it is the first estimate and does not count
+    as an online one.
     """
 
     def __init__(
@@ -105,47 +105,29 @@ class LearnedController(AggregatorController):
         reoptimize_every: int = 1,
         force_fallback: Optional[str] = None,
     ):
-        if deadline <= 0.0:
-            raise ConfigError(f"deadline must be positive, got {deadline}")
-        if k < 1:
-            raise ConfigError(f"k must be >= 1, got {k}")
-        if min_samples < estimator.min_samples:
-            raise ConfigError(
-                f"min_samples {min_samples} below estimator requirement "
-                f"{estimator.min_samples}"
-            )
-        if reoptimize_every < 1:
-            raise ConfigError(
-                f"reoptimize_every must be >= 1, got {reoptimize_every}"
-            )
+        # the table lookup replaces the sweep, so no optimizer is needed;
+        # the regime is installed after the base init so the up-front
+        # decision runs through the accounting below, not a prior plan.
+        super().__init__(
+            estimator,
+            None,  # type: ignore[arg-type]
+            k,
+            deadline,
+            min_samples=min_samples,
+            reoptimize_every=reoptimize_every,
+        )
         self._table = table
         self._featurizer = featurizer
-        self._k = int(k)
-        self._deadline = float(deadline)
-        self._stream = StreamingEstimator(estimator, int(k))
-        self._min_samples = int(min_samples)
-        self._reoptimize_every = int(reoptimize_every)
         self._fallback_factory = fallback_factory
         self._stats = stats
-        self._received = 0
-        self._stop = float(deadline)
-        self._regime = regime
-        self._initial_estimate = regime
-        self._last_estimate: Optional[Distribution] = regime
         self._fallback: Optional[AdaptiveController] = None
-        #: every arrival seen, in order — replayed into the fallback
-        #: controller on activation and harvested by the policy.
-        self.arrivals: list[float] = []
+        self._last_estimate = self._initial_estimate = regime
 
         self._stats.decisions += 1
         if force_fallback is not None:
             self._activate_fallback(force_fallback)
         else:
             self._plan(0.0)
-        if self._fallback is not None:
-            # the up-front decision was answered by the fallback (forced,
-            # or the initial regime was already out of envelope).
-            self._stats.fallback_decisions += 1
 
     # ------------------------------------------------------------------
     @property
@@ -153,10 +135,6 @@ class LearnedController(AggregatorController):
         if self._fallback is not None:
             return self._fallback.stop_time
         return self._stop
-
-    @property
-    def n_received(self) -> int:
-        return self._received
 
     @property
     def last_estimate(self) -> Optional[Distribution]:
@@ -168,34 +146,29 @@ class LearnedController(AggregatorController):
     def fell_back(self) -> bool:
         return self._fallback is not None
 
-    def online_estimate(self) -> Optional[Distribution]:
-        """The fitted distribution if the *online* learner produced one
-        (the injected prior/offline regime does not count)."""
-        est = self.last_estimate
-        if est is None or est is self._initial_estimate:
-            return None
-        return est
-
     # ------------------------------------------------------------------
     def _activate_fallback(self, reason: str) -> None:
+        """Switch to exact Cedar: replay every arrival into a fresh
+        controller, which also answers the decision being made now."""
         fallback = self._fallback_factory()
         for t in self.arrivals:
             fallback.on_arrival(t)
         self._fallback = fallback
         self._stats.count_fallback(reason)
+        self._stats.fallback_decisions += 1
 
     def _plan(self, now: float) -> None:
         """One wait decision at absolute time ``now``: featurize, look
         the wait fraction up, clamp — or fall back when out of envelope."""
-        mu = getattr(self._regime, "mu", None)
-        sigma = getattr(self._regime, "sigma", None)
+        mu = getattr(self._last_estimate, "mu", None)
+        sigma = getattr(self._last_estimate, "sigma", None)
         if mu is None or sigma is None:
             self._activate_fallback(FALLBACK_OOD)
             return
         index = self._featurizer.state_index(
             float(mu),
             float(sigma),
-            self._received,
+            self.n_received,
             self._k,
             now,
             self._deadline,
@@ -209,32 +182,18 @@ class LearnedController(AggregatorController):
         self._stats.lookups += 1
         self._stop = min(max(fraction * self._deadline, now), self._deadline)
 
+    def _refit(self, fed: bool) -> bool:
+        super()._refit(fed)
+        return True
+
     def on_arrival(self, t: float) -> None:
-        self._received += 1
-        self.arrivals.append(t)
         self._stats.decisions += 1
-        if self._fallback is not None:
-            self._stats.fallback_decisions += 1
-            self._fallback.on_arrival(t)
+        if self._fallback is None:
+            super().on_arrival(t)
             return
-        if not self._stream.complete:
-            self._stream.observe(t)
-        if self._received == self._k:
-            # all outputs received: ship immediately, like Pseudocode 1.
-            self._stop = t
-            return
-        n = self._stream.n_observed
-        if (
-            n >= self._min_samples
-            and (n - self._min_samples) % self._reoptimize_every == 0
-        ):
-            est = self._stream.estimate_distribution()
-            self._regime = est
-            self._last_estimate = est
-        self._plan(t)
-        if self._fallback is not None:
-            # this decision crossed the envelope: it was served by Cedar.
-            self._stats.fallback_decisions += 1
+        self.arrivals.append(t)
+        self._stats.fallback_decisions += 1
+        self._fallback.on_arrival(t)
 
 
 class LearnedWaitPolicy(CedarWarmPolicy):
@@ -273,13 +232,8 @@ class LearnedWaitPolicy(CedarWarmPolicy):
         self.stats = LearnedPolicyStats()
         self._featurizer = table.featurizer()
         self._seen_resets: dict[str, int] = {}
-        self._learned: list[LearnedController] = []
 
     # ------------------------------------------------------------------
-    def begin_query(self, ctx: QueryContext) -> None:
-        super().begin_query(ctx)
-        self._learned = []
-
     def controller(self, ctx: QueryContext, level: int) -> AggregatorController:
         if level != 1:
             return super().controller(ctx, level)
@@ -288,57 +242,21 @@ class LearnedWaitPolicy(CedarWarmPolicy):
         resets = self.store.resets_for(key)
         drifted = resets > self._seen_resets.get(key, 0)
         self._seen_resets[key] = resets
-        effective_min = (
-            self.warm_min_samples if prior is not None else self.min_samples
-        )
-        optimizer = self._optimizer(ctx)
-        k = ctx.offline_tree.stages[0].fanout
-        deadline = ctx.deadline
-
-        def fallback_factory() -> AdaptiveController:
-            return AdaptiveController(
-                estimator=self._estimator_factory(),
-                optimizer=optimizer,
-                k=k,
-                deadline=deadline,
-                min_samples=effective_min,
-                reoptimize_every=self.reoptimize_every,
-                prior=prior,
-            )
-
         regime = (
             prior if prior is not None else ctx.offline_tree.stages[0].duration
         )
         controller = LearnedController(
             table=self.table,
             featurizer=self._featurizer,
-            k=k,
-            deadline=deadline,
+            k=ctx.offline_tree.stages[0].fanout,
+            deadline=ctx.deadline,
             regime=regime,
             estimator=self._estimator_factory(),
-            fallback_factory=fallback_factory,
+            fallback_factory=lambda: self._adaptive(ctx, 1, prior),
             stats=self.stats,
-            min_samples=effective_min,
+            min_samples=self._min_samples_for(prior),
             reoptimize_every=self.reoptimize_every,
             force_fallback=FALLBACK_DRIFT if drifted else None,
         )
-        self._learned.append(controller)
+        self._controllers.append(controller)
         return controller
-
-    def harvest(self) -> None:
-        """Feed the finished query's online estimates back into the store
-        (same contract as :meth:`CedarWarmPolicy.harvest`)."""
-        mus: list[float] = []
-        sigmas: list[float] = []
-        durations: list[float] = []
-        for controller in self._learned:
-            durations.extend(controller.arrivals)
-            est = controller.online_estimate()
-            mu = getattr(est, "mu", None)
-            sigma = getattr(est, "sigma", None)
-            if mu is not None and sigma is not None:
-                mus.append(float(mu))
-                sigmas.append(float(sigma))
-        self._learned = []
-        self._recorders = []
-        self.store.observe_query(key=self.current_key, mus=mus, sigmas=sigmas, durations=durations)

@@ -243,41 +243,6 @@ class WarmStartStore:
         return store
 
 
-class _RecordingController(AggregatorController):
-    """Wraps a bottom-level controller to harvest arrivals + estimates."""
-
-    def __init__(self, inner: AdaptiveController) -> None:
-        self._inner = inner
-        self.arrivals: list[float] = []
-        # identity marker: last_estimate still being this object means the
-        # online fit never ran (only the injected prior), so harvesting it
-        # back into the store would create a feedback echo.
-        self._initial_estimate = inner.last_estimate
-
-    @property
-    def stop_time(self) -> float:
-        return self._inner.stop_time
-
-    @property
-    def n_received(self) -> int:
-        return self._inner.n_received
-
-    @property
-    def last_estimate(self) -> Optional[Distribution]:
-        return self._inner.last_estimate
-
-    def on_arrival(self, t: float) -> None:
-        self.arrivals.append(t)
-        self._inner.on_arrival(t)
-
-    def online_estimate(self) -> Optional[Distribution]:
-        """The fitted distribution if the *online* learner produced one."""
-        est = self._inner.last_estimate
-        if est is None or est is self._initial_estimate:
-            return None
-        return est
-
-
 class CedarWarmPolicy(CedarPolicy):
     """Cedar with cross-query warm start from a :class:`WarmStartStore`.
 
@@ -312,45 +277,37 @@ class CedarWarmPolicy(CedarPolicy):
         self.store = store if store is not None else WarmStartStore()
         self.warm_min_samples = int(warm_min_samples)
         self.current_key = "default"
-        self._recorders: list[_RecordingController] = []
+        self._controllers: list[AdaptiveController] = []
 
     def begin_query(self, ctx: QueryContext) -> None:
         super().begin_query(ctx)
-        self._recorders = []
+        self._controllers = []
+
+    def _min_samples_for(self, prior: Optional[Distribution]) -> int:
+        """A prior is trusted until ``warm_min_samples`` arrivals."""
+        return self.min_samples if prior is None else self.warm_min_samples
 
     def controller(self, ctx: QueryContext, level: int) -> AggregatorController:
         if level != 1:
             return super().controller(ctx, level)
-        prior = self.store.prior(self.current_key)
-        inner = AdaptiveController(
-            estimator=self._estimator_factory(),
-            optimizer=self._optimizer(ctx),
-            k=ctx.offline_tree.stages[0].fanout,
-            deadline=ctx.deadline,
-            min_samples=(
-                self.warm_min_samples if prior is not None else self.min_samples
-            ),
-            reoptimize_every=self.reoptimize_every,
-            prior=prior,
-        )
-        recorder = _RecordingController(inner)
-        self._recorders.append(recorder)
-        return recorder
+        controller = self._adaptive(ctx, 1, self.store.prior(self.current_key))
+        self._controllers.append(controller)
+        return controller
 
     def harvest(self) -> None:
         """Feed the just-finished query's estimates back into the store."""
         mus: list[float] = []
         sigmas: list[float] = []
         durations: list[float] = []
-        for rec in self._recorders:
-            durations.extend(rec.arrivals)
-            est = rec.online_estimate()
+        for controller in self._controllers:
+            durations.extend(controller.arrivals)
+            est = controller.online_estimate()
             mu = getattr(est, "mu", None)
             sigma = getattr(est, "sigma", None)
             if mu is not None and sigma is not None:
                 mus.append(float(mu))
                 sigmas.append(float(sigma))
-        self._recorders = []
+        self._controllers = []
         self.store.observe_query(
             self.current_key, mus, sigmas, durations=durations
         )

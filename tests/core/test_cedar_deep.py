@@ -11,6 +11,7 @@ from repro.core import (
     QueryContext,
     Stage,
     TreeSpec,
+    WaitTableCache,
 )
 from repro.distributions import LogNormal
 from repro.simulation import run_experiment
@@ -50,6 +51,20 @@ class TestControllers:
         policy.controller(CTX, 1)
         policy.controller(CTX, 2)
         assert len(policy._optimizers) == 2  # one tail per level
+
+    def test_wait_cache_serves_upper_level_replans(self):
+        cache = WaitTableCache()
+        policy = CedarDeepPolicy(grid_points=96, wait_cache=cache)
+        c2 = policy.controller(CTX, 2)
+
+        def lookups():
+            stats = cache.stats()
+            return stats["hits"] + stats["misses"] + stats["uncached"]
+
+        before = lookups()
+        for t in (0.5, 1.0, 2.0):
+            c2.on_arrival(t)
+        assert lookups() > before
 
 
 class TestBehaviour:

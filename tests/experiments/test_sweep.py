@@ -90,7 +90,7 @@ class TestRunSweep:
     def test_policy_registry_complete(self):
         assert "cedar" in POLICY_FACTORIES
         assert "ideal" in POLICY_FACTORIES
-        assert "cedar-tabulated" in POLICY_FACTORIES
+        assert "cedar-learned" in POLICY_FACTORIES
 
 
 class TestCliSweep:

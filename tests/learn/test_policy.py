@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import QueryContext, TreeSpec
+from repro.core import AdaptiveController, QueryContext, TreeSpec, WaitOptimizer
 from repro.distributions import LogNormal
 from repro.errors import ConfigError
 from repro.estimation import OrderStatisticEstimator
@@ -116,6 +116,57 @@ class TestOODFallback:
         controller.on_arrival(2.0)
         assert policy.stats.fallback_decisions == 3  # up-front + 2 arrivals
         assert policy.stats.fallback_rate == 1.0
+
+
+class TestMidQueryFallback:
+    """An arrival that leaves the envelope mid-query hands the query to
+    exact Cedar as if Cedar had served every arrival so far."""
+
+    @pytest.mark.parametrize(
+        "warm_prior, arrivals",
+        [
+            (None, (2.0, 5.0, 40.0)),
+            ((3.0, 0.8), (1.0, 2.0, 3.0, 4.0, 59.0)),
+        ],
+        ids=["cold", "warm"],
+    )
+    def test_switch_matches_a_fresh_adaptive_controller(
+        self, warm_prior, arrivals
+    ):
+        store = WarmStartStore()
+        if warm_prior is not None:
+            store.observe_query("default", [warm_prior[0]], [warm_prior[1]])
+        policy = make_policy(store)
+        ctx = make_ctx()
+        policy.begin_query(ctx)
+        controller = policy.controller(ctx, 1)
+        for t in arrivals[:-1]:
+            controller.on_arrival(t)
+        assert not controller.fell_back
+        controller.on_arrival(arrivals[-1])
+        assert controller.fell_back
+        assert policy.stats.reasons == {FALLBACK_OOD: 1}
+        assert policy.stats.decisions == 1 + len(arrivals)
+        assert policy.stats.fallback_decisions == 1
+
+        prior = store.prior("default")
+        reference = AdaptiveController(
+            estimator=OrderStatisticEstimator(family="lognormal"),
+            optimizer=WaitOptimizer(ctx.offline_tree.stages[1:], DEADLINE, GRID),
+            k=K1,
+            deadline=DEADLINE,
+            min_samples=(
+                policy.min_samples if prior is None else policy.warm_min_samples
+            ),
+            prior=prior,
+        )
+        for t in arrivals:
+            reference.on_arrival(t)
+        assert controller.stop_time == reference.stop_time
+        assert controller.last_estimate == reference.last_estimate
+        assert controller.online_estimate() is not None
+        assert controller.online_estimate() == reference.online_estimate()
+        assert controller.n_received == len(arrivals)
 
 
 class TestDriftFallback:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import QueryContext
+from repro.core import AdaptiveController, QueryContext
 from repro.distributions import LogNormal
 from repro.errors import ConfigError
 from repro.serve import CedarServer, CedarWarmPolicy, LoadGenerator, ServeConfig, WarmStartStore
@@ -111,6 +111,38 @@ class TestPolicyIntegration:
         assert after["mu"] == before["mu"]
         assert after["sigma"] == before["sigma"]
         assert after["n_queries"] == before["n_queries"] + 1
+
+    def test_controller_reports_only_online_estimates(self):
+        """The controller itself records arrivals and tells an online fit
+        apart from the injected prior — the check harvest relies on."""
+        workload = pinned_workload()
+        ctx = self._ctx(workload)
+        cold = CedarWarmPolicy(grid_points=64)
+        cold.begin_query(ctx)
+        fresh = cold.controller(ctx, 1)
+        assert isinstance(fresh, AdaptiveController)
+        assert fresh.arrivals == []
+        assert fresh.last_estimate is None
+        assert fresh.online_estimate() is None  # no arrivals
+
+        policy = CedarWarmPolicy(grid_points=64, warm_min_samples=3)
+        policy.store.observe_query("default", [3.0], [0.8])
+        policy.begin_query(ctx)
+        controller = policy.controller(ctx, 1)
+        prior = controller.last_estimate
+        assert (prior.mu, prior.sigma) == (3.0, 0.8)
+        for t in (8.0, 11.0):
+            controller.on_arrival(t)
+        assert controller.arrivals == [8.0, 11.0]
+        assert controller.last_estimate is prior
+        assert controller.online_estimate() is None  # prior only
+
+        controller.on_arrival(13.0)  # third arrival: the online fit runs
+        assert controller.arrivals == [8.0, 11.0, 13.0]
+        fitted = controller.online_estimate()
+        assert fitted is not None
+        assert fitted is controller.last_estimate
+        assert fitted is not prior
 
     def test_served_queries_populate_store(self):
         workload = pinned_workload()
