@@ -16,7 +16,7 @@ import pytest
 
 from repro.core import Stage, TreeSpec, WaitOptimizer, WaitTableCache, calculate_wait
 from repro.distributions import LogNormal
-from repro.estimation import OrderStatisticEstimator
+from repro.estimation import OrderStatisticEstimator, StreamingEstimator
 
 X1 = LogNormal(6.0, 0.84)
 X2 = LogNormal(4.7, 0.5)
@@ -52,6 +52,26 @@ def test_full_replan_latency(benchmark, optimizer):
         return optimizer.optimize(dist, 50)
 
     benchmark(replan)
+    assert benchmark.stats["mean"] < 0.010
+
+
+def test_streaming_estimate_latency(benchmark):
+    """Observe and re-estimate at each of k=50 arrivals: one aggregator's
+    whole online fit, folded in O(1) per arrival."""
+    est = OrderStatisticEstimator("lognormal")
+    rng = np.random.default_rng(0)
+    arrivals = np.sort(X1.sample(K, seed=rng)).tolist()
+
+    def stream_fit():
+        stream = StreamingEstimator(est, K)
+        for t in arrivals:
+            stream.observe(t)
+            if stream.ready:
+                stream.estimate()
+        return stream.estimate()
+
+    fit = benchmark(stream_fit)
+    assert fit.n_observed == K
     assert benchmark.stats["mean"] < 0.010
 
 

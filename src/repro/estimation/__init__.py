@@ -2,10 +2,11 @@
 
 Three estimators over the earliest ``r`` of ``k`` arrivals: Cedar's
 order-statistic method, the biased empirical baseline, and the exact
-censored MLE reference, plus a streaming facade.
+censored MLE reference, plus a streaming facade that keeps each
+estimator's running fit (:class:`Accumulator`) per aggregator.
 """
 
-from .base import Estimator, ParameterEstimate, validate_arrivals
+from .base import Accumulator, Estimator, ParameterEstimate, validate_arrivals
 from .empirical import EmpiricalEstimator
 from .mle import CensoredMLEEstimator
 from .conservative import ConservativeEstimator
@@ -14,6 +15,7 @@ from .order_statistic import OrderStatisticEstimator
 from .tracker import DistributionTracker
 
 __all__ = [
+    "Accumulator",
     "ConservativeEstimator",
     "Estimator",
     "ParameterEstimate",

@@ -23,7 +23,7 @@ import numpy as np
 from ..distributions import Distribution, LogNormal, Normal
 from ..errors import EstimationError
 
-__all__ = ["ParameterEstimate", "Estimator", "validate_arrivals"]
+__all__ = ["Accumulator", "ParameterEstimate", "Estimator", "validate_arrivals"]
 
 SUPPORTED_FAMILIES = ("lognormal", "normal", "exponential")
 
@@ -98,3 +98,26 @@ class Estimator(abc.ABC):
     def estimate_distribution(self, arrivals: Sequence[float], k: int) -> Distribution:
         """Convenience: estimate and materialize a Distribution."""
         return self.estimate(arrivals, k).to_distribution()
+
+    def accumulator(self, k: int) -> "Accumulator":
+        """A fit over a growing arrival prefix of fan-out ``k``."""
+        return Accumulator(self, k)
+
+
+class Accumulator:
+    """Fits a growing prefix of one aggregator's ``k`` arrivals.
+
+    Every call to :meth:`estimate` passes the whole prefix so far, which
+    extends the prefix of the previous call. This default re-fits it from
+    scratch with the batch :meth:`Estimator.estimate`; an estimator whose
+    fit is a running aggregate returns a subclass that folds only the
+    arrivals added since the last call.
+    """
+
+    def __init__(self, estimator: Estimator, k: int):
+        self.estimator = estimator
+        self.k = k
+
+    def estimate(self, arrivals: Sequence[float]) -> ParameterEstimate:
+        """The fit over ``arrivals`` (equal to the batch estimate)."""
+        return self.estimator.estimate(arrivals, self.k)

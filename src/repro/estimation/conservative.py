@@ -15,7 +15,9 @@ errors before they reach the wait optimizer:
 The shading shrinks automatically as arrivals accumulate (standard
 errors fall roughly as ``1/sqrt(r)``), so a mature estimate is used
 as-is — an uncertainty-aware refinement of Pseudocode 1 that needs no
-protocol change.
+protocol change. Streaming fits wrap the inner estimator's accumulator
+and shade only at read-out, so a conservative Cedar refits as cheaply
+as the plain one.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..errors import EstimationError
-from .base import Estimator, ParameterEstimate
+from .base import Accumulator, Estimator, ParameterEstimate
 
 __all__ = ["ConservativeEstimator"]
 
@@ -41,7 +43,13 @@ class ConservativeEstimator(Estimator):
         self.min_samples = inner.min_samples
 
     def estimate(self, arrivals: Sequence[float], k: int) -> ParameterEstimate:
-        base = self.inner.estimate(arrivals, k)
+        return self.shade(self.inner.estimate(arrivals, k))
+
+    def accumulator(self, k: int) -> Accumulator:
+        return _ShadedAccumulator(self, k)
+
+    def shade(self, base: ParameterEstimate) -> ParameterEstimate:
+        """Move ``base`` by ``z`` of its own standard errors."""
         sigma = max(base.sigma + self.z_sigma * base.sigma_stderr, 1e-9)
         return ParameterEstimate(
             family=base.family,
@@ -53,3 +61,15 @@ class ConservativeEstimator(Estimator):
             mu_stderr=base.mu_stderr,
             sigma_stderr=base.sigma_stderr,
         )
+
+
+class _ShadedAccumulator(Accumulator):
+    """The inner estimator's running fit, shaded at read-out."""
+
+    def __init__(self, estimator: ConservativeEstimator, k: int):
+        super().__init__(estimator, k)
+        self._inner = estimator.inner.accumulator(k)
+        self._shade = estimator.shade
+
+    def estimate(self, arrivals: Sequence[float]) -> ParameterEstimate:
+        return self._shade(self._inner.estimate(arrivals))

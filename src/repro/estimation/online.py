@@ -2,8 +2,13 @@
 
 This is the shape an aggregator actually uses (Pseudocode 1): every
 PROCESSHANDLER invocation appends one arrival time and may re-estimate.
-The wrapper enforces monotone arrival order, caches the last estimate, and
-only recomputes when new data arrived since.
+:meth:`StreamingEstimator.observe` only appends the arrival and checks its
+order. :meth:`StreamingEstimator.estimate` hands the arrivals to the
+estimator's :class:`~repro.estimation.base.Accumulator`, which folds the
+ones added since the last call — O(1) amortized per arrival, lazily
+folded, for Cedar's order-statistic estimator — and caches the result
+until new data arrives. Callers that never estimate pay nothing for the
+fit.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from typing import Optional
 from ..distributions import Distribution
 from ..errors import EstimationError
 from ..obs.profile import PROFILER
-from .base import Estimator, ParameterEstimate
+from .base import Accumulator, Estimator, ParameterEstimate
 
 __all__ = ["StreamingEstimator"]
 
@@ -27,6 +32,8 @@ class StreamingEstimator:
         self._estimator = estimator
         self._k = int(k)
         self._arrivals: list[float] = []
+        # made on the first estimate, so a stream never asked pays nothing
+        self._fit: Optional[Accumulator] = None
         self._cached: Optional[ParameterEstimate] = None
         self._dirty = True
 
@@ -71,7 +78,9 @@ class StreamingEstimator:
             )
         if self._dirty or self._cached is None:
             tok = PROFILER.start()
-            self._cached = self._estimator.estimate(self._arrivals, self._k)
+            if self._fit is None:
+                self._fit = self._estimator.accumulator(self._k)
+            self._cached = self._fit.estimate(self._arrivals)
             PROFILER.stop("estimation.streaming.estimate", tok)
             self._dirty = False
         return self._cached
@@ -83,5 +92,6 @@ class StreamingEstimator:
     def reset(self) -> None:
         """Forget all arrivals (reuse across queries)."""
         self._arrivals.clear()
+        self._fit = None
         self._cached = None
         self._dirty = True

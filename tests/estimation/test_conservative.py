@@ -5,7 +5,11 @@ import pytest
 
 from repro.distributions import LogNormal
 from repro.errors import EstimationError
-from repro.estimation import ConservativeEstimator, OrderStatisticEstimator
+from repro.estimation import (
+    ConservativeEstimator,
+    OrderStatisticEstimator,
+    StreamingEstimator,
+)
 
 
 @pytest.fixture
@@ -73,3 +77,38 @@ class TestConservativeEstimator:
         )
         res = simulate_query(ctx, policy, seed=1)
         assert 0.0 <= res.quality <= 1.0
+
+
+class _CountingEstimator(OrderStatisticEstimator):
+    """Counts batch fits, to show the streaming path never makes one."""
+
+    batch_calls = 0
+
+    def estimate(self, arrivals, k):
+        self.batch_calls += 1
+        return super().estimate(arrivals, k)
+
+
+class TestConservativeStreaming:
+    @pytest.mark.parametrize("z_mu,z_sigma", [(-1.0, 0.0), (2.0, 1.0), (0.0, -5.0)])
+    def test_streaming_equals_batch_bit_for_bit(self, rng, z_mu, z_sigma):
+        cons = ConservativeEstimator(
+            OrderStatisticEstimator("lognormal"), z_mu=z_mu, z_sigma=z_sigma
+        )
+        arrivals = np.sort(LogNormal(2.0, 0.8).sample(40, seed=rng)).tolist()
+        stream = StreamingEstimator(cons, 40)
+        for r, t in enumerate(arrivals, start=1):
+            stream.observe(t)
+            if r >= 2:
+                got, want = stream.estimate(), cons.estimate(arrivals[:r], 40)
+                assert got == want
+                assert (got.mu.hex(), got.sigma.hex()) == (want.mu.hex(), want.sigma.hex())
+
+    def test_streaming_folds_instead_of_refitting(self, arrivals):
+        inner = _CountingEstimator("lognormal")
+        stream = StreamingEstimator(ConservativeEstimator(inner), 40)
+        for t in arrivals:
+            stream.observe(float(t))
+            if stream.ready:
+                stream.estimate()
+        assert inner.batch_calls == 0
