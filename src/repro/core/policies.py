@@ -101,6 +101,15 @@ class WaitPolicy(abc.ABC):
         return f"<{type(self).__name__} {self.name!r}>"
 
 
+#: most optimizers one policy memoizes. The serve path keys them on each
+#: query's remaining deadline, so without a cap the memo grows with the
+#: request count; beyond the cap the oldest entry is dropped. A rebuilt
+#: optimizer is exact, so eviction costs a tail-grid rebuild, never an
+#: outcome. Set above the ~330 entries a 1,600-request pinned serve run
+#: creates.
+MAX_OPTIMIZERS = 512
+
+
 def _check_level(ctx: QueryContext, level: int) -> None:
     if not 1 <= level <= ctx.n_levels:
         raise ConfigError(f"level must be in [1, {ctx.n_levels}], got {level}")
@@ -276,6 +285,8 @@ class CedarPolicy(WaitPolicy):
         key = (tail_stages, round(deadline, 12))
         found = self._optimizers.get(key)
         if found is None:
+            if len(self._optimizers) >= MAX_OPTIMIZERS:
+                del self._optimizers[next(iter(self._optimizers))]
             found = self._optimizers[key] = self._new_optimizer(
                 tail_stages, deadline
             )

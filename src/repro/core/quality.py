@@ -14,25 +14,34 @@ wait sweep (Pseudocode 2), and the argmax is the optimal wait duration.
 Everything here is computed on a uniform grid of step ``ε`` so the
 recursion composes by index arithmetic, and the per-query hot path
 (re-optimizing the bottom stage after each arrival) is a single
-vectorized sweep over a precomputed tail.
+vectorized sweep over a precomputed tail. Everything in that sweep that
+depends only on the tail — the wait grid, its log (for log-normal
+bottoms), the reversed tail quality and its step drops — is computed
+once per :class:`QualityGrid` (:attr:`QualityGrid.sweep_terms`), so each
+re-optimization pays only for the bottom distribution's CDF and the
+accumulation.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from ..distributions import Distribution
+from ..distributions import Distribution, LogNormal
+from ..distributions.lognormal import lognormal_cdf_from_log
 from ..errors import ConfigError
 from ..obs.profile import PROFILER
 from .config import Stage, TreeSpec
 
 __all__ = [
     "QualityGrid",
+    "SweepTerms",
     "WaitCurve",
+    "accumulate_net",
     "quality_gain",
     "quality_loss",
     "sweep_wait",
@@ -86,17 +95,61 @@ def quality_loss(
 # ----------------------------------------------------------------------
 # grid machinery
 # ----------------------------------------------------------------------
+class SweepTerms(NamedTuple):
+    """The tail-only terms of the bottom-stage sweep over one grid.
+
+    Step ``i`` of the sweep covers waits ``(i*eps, (i+1)*eps]``; with
+    ``q = values`` and ``m = len(q) - 1``, the gain of step ``i`` is
+    scaled by ``q_gain[i] = q[m-i-1]`` and the loss by ``q_drop[i] =
+    q[m-i] - q[m-i-1]``. All arrays are read-only.
+    """
+
+    #: wait grid ``j * eps``, shape (m+1,).
+    wait: np.ndarray
+    #: index of the first positive wait; the positive waits are a suffix
+    #: of the grid, since it is nondecreasing.
+    first: int
+    #: ``log(wait[first:])``, taken exactly as ``LogNormal.cdf`` takes it.
+    log_wait: np.ndarray
+    #: tail quality left after step ``i``, shape (m,).
+    q_gain: np.ndarray
+    #: tail quality lost over step ``i``, shape (m,).
+    q_drop: np.ndarray
+
+
 @dataclasses.dataclass(frozen=True)
 class QualityGrid:
     """``q(d)`` for a (sub)tree evaluated on a uniform deadline grid.
 
     ``values[j]`` is the maximum expected quality of the subtree when its
     deadline is ``j * epsilon``; ``values[0] == 0`` unless the bottom
-    distribution has an atom at zero.
+    distribution has an atom at zero. ``values`` is read-only from
+    construction on, because :attr:`sweep_terms` caches terms derived
+    from it: an in-place write raises instead of leaving them stale.
     """
 
     epsilon: float
     values: np.ndarray  # shape (m+1,)
+
+    def __post_init__(self) -> None:
+        values = np.asarray(self.values, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @functools.cached_property
+    def sweep_terms(self) -> SweepTerms:
+        """The sweep's tail-only terms, built on first use and kept."""
+        m = len(self.values) - 1
+        wait = np.arange(m + 1) * self.epsilon
+        pos = wait > 0.0
+        first = m + 1 - int(np.count_nonzero(pos))
+        log_wait = np.log(wait, where=pos, out=np.zeros_like(wait))[first:]
+        q_rev = self.values[::-1]  # q_rev[i] = q[m-i]
+        q_gain = np.ascontiguousarray(q_rev[1:])
+        q_drop = q_rev[:-1] - q_rev[1:]
+        for arr in (wait, log_wait, q_gain, q_drop):
+            arr.flags.writeable = False
+        return SweepTerms(wait, first, log_wait, q_gain, q_drop)
 
     @property
     def deadline(self) -> float:
@@ -157,6 +210,13 @@ def sweep_wait(
     ``tail.epsilon``, accumulating Equation-3 gains minus Equation-4
     losses against the precomputed tail quality ``q_{n-1}``.
 
+    Only the bottom distribution's CDF on the wait grid and the
+    accumulation are computed per call; the wait grid, its log and the
+    reversed tail terms come from ``tail.sweep_terms``, built once per
+    tail. A :class:`~repro.distributions.LogNormal` bottom evaluates its
+    CDF from the cached log grid; other families call their ``cdf`` on
+    the cached wait grid.
+
     ``gain_discount`` scales the *gain* term only. The failure-aware
     policies set it to the shipment survival probability: on lossy
     infrastructure the payoff of waiting for one more output only
@@ -170,20 +230,50 @@ def sweep_wait(
         raise ConfigError(
             f"gain_discount must be in (0, 1], got {gain_discount}"
         )
-    q_tail = tail.values
-    m = len(q_tail) - 1
-    eps = tail.epsilon
-    grid = np.arange(m + 1) * eps
-    f = np.clip(np.asarray(x1.cdf(grid), dtype=float), 0.0, 1.0)
-    held = f - f**k1  # (F - F^k), the loss-exposure factor
-    # step i covers (i*eps, (i+1)*eps]; arrays indexed i = 0..m-1
-    gains = (
-        gain_discount * np.diff(f) * q_tail[::-1][1:]
-    )  # (F[i+1]-F[i]) * q_tail[m-(i+1)]
-    q_rev = q_tail[::-1]  # q_rev[i] = q_tail[m-i]
-    losses = held[:-1] * (q_rev[:-1] - q_rev[1:])  # held[i]*(q[m-i]-q[m-i-1])
-    net = np.concatenate(([0.0], np.cumsum(gains - losses)))
-    return WaitCurve(epsilon=eps, quality=net)
+    terms = tail.sweep_terms
+    if isinstance(x1, LogNormal):
+        f = np.zeros(len(terms.wait))
+        f[terms.first :] = lognormal_cdf_from_log(
+            terms.log_wait, x1.mu, x1.sigma
+        )
+    else:
+        f = np.clip(np.asarray(x1.cdf(terms.wait), dtype=float), 0.0, 1.0)
+    return WaitCurve(
+        epsilon=tail.epsilon, quality=accumulate_net(f, k1, terms, gain_discount)
+    )
+
+
+def accumulate_net(
+    f: np.ndarray, k, terms: SweepTerms, gain_discount: float
+) -> np.ndarray:
+    """Accumulated net quality of Pseudocode 2 from bottom-stage CDFs.
+
+    ``f`` holds CDF values on ``terms.wait``: one row with an int fan-out
+    ``k``, or ``(N, m+1)`` rows with one int fan-out per row. Shared by
+    :func:`sweep_wait` and the batched solver, so both run the same
+    element-wise float operations.
+    """
+    if f.ndim == 1:
+        power = f**k
+    else:
+        # raise rows to a Python int, as the one-row sweep does: numpy
+        # computes ``x**2`` as ``x*x`` but an int-array exponent calls
+        # ``pow``, which can differ in the last bit
+        k = np.asarray(k)
+        power = np.empty_like(f)
+        for fanout in np.unique(k):
+            rows = k == fanout
+            power[rows] = f[rows] ** int(fanout)
+    held = f - power  # (F - F^k), the loss-exposure factor
+    step = f[..., 1:] - f[..., :-1]
+    if gain_discount != 1.0:  # 1.0 * x == x, so the multiply is skipped
+        step *= gain_discount
+    step *= terms.q_gain  # gain: (F[i+1]-F[i]) * q[m-(i+1)]
+    step -= held[..., :-1] * terms.q_drop  # loss: held[i]*(q[m-i]-q[m-i-1])
+    net = np.empty(f.shape)
+    net[..., 0] = 0.0
+    np.cumsum(step, axis=-1, out=net[..., 1:])
+    return net
 
 
 def _base_grid(top: Distribution, m: int, eps: float) -> QualityGrid:

@@ -31,19 +31,23 @@ concurrent queries in one serving process can share it.
 from __future__ import annotations
 
 import dataclasses
-import math
 import threading
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import special
 
 from ..distributions import Distribution, LogNormal
+from ..distributions.lognormal import lognormal_cdf_from_log
 from ..errors import ConfigError
 from ..obs.profile import PROFILER
 from . import quantize
 from .config import Stage, TreeSpec
-from .quality import DEFAULT_GRID_POINTS, QualityGrid, tail_quality_grid
+from .quality import (
+    DEFAULT_GRID_POINTS,
+    QualityGrid,
+    accumulate_net,
+    tail_quality_grid,
+)
 from .wait import WaitOptimizer, WaitSchedule, wait_schedule
 
 __all__ = [
@@ -52,8 +56,6 @@ __all__ = [
     "WaitTableCache",
     "CachedWaitOptimizer",
 ]
-
-_SQRT2 = math.sqrt(2.0)
 
 #: cache keys quantize parameters to integer buckets; a bucket key is the
 #: rounded ratio parameter/step, and the representative the cache solves
@@ -119,7 +121,6 @@ class BatchWaitSolver:
         self.tail: QualityGrid = tail_quality_grid(
             self.tail_stages, self.deadline, self.grid_points
         )
-        self._grid = np.arange(len(self.tail.values)) * self.tail.epsilon
 
     @property
     def epsilon(self) -> float:
@@ -128,27 +129,29 @@ class BatchWaitSolver:
 
     # ------------------------------------------------------------------
     def _cdf_rows(self, dists: Sequence[Distribution]) -> np.ndarray:
-        """CDF matrix ``F[i, j] = F_i(j * eps)``, clipped to [0, 1].
+        """CDF matrix ``F[i, j] = F_i(j * eps)``.
 
-        Log-normal-only batches take a fully vectorized path that mirrors
-        :meth:`repro.distributions.LogNormal.cdf` operation-for-operation
-        (one ``log`` of the shared grid, broadcast normalize, one
-        ``erf``), so it produces the same bits as the per-distribution
-        path while touching Python once per *batch* instead of per query.
+        Log-normal-only batches broadcast (µ, σ) columns against the
+        tail's cached log grid through
+        :func:`~repro.distributions.lognormal.lognormal_cdf_from_log`,
+        the same arithmetic :func:`~repro.core.quality.sweep_wait` and
+        :meth:`~repro.distributions.LogNormal.cdf` run, so each row has
+        the scalar path's bits while touching Python once per *batch*
+        instead of per query. Other batches call each ``cdf`` on the
+        cached wait grid, clipped to [0, 1].
         """
+        terms = self.tail.sweep_terms
         if all(isinstance(d, LogNormal) for d in dists):
-            grid = self._grid
             mus = np.asarray([d.mu for d in dists], dtype=float)
             sigmas = np.asarray([d.sigma for d in dists], dtype=float)
-            out = np.zeros((len(dists), len(grid)))
-            pos = grid > 0.0
-            lg = np.log(grid, where=pos, out=np.zeros_like(grid))
-            z = (lg[None, :] - mus[:, None]) / sigmas[:, None]
-            out[:, pos] = 0.5 * (1.0 + special.erf(z[:, pos] / _SQRT2))
-            return np.clip(out, 0.0, 1.0)
+            out = np.zeros((len(dists), len(terms.wait)))
+            out[:, terms.first :] = lognormal_cdf_from_log(
+                terms.log_wait[None, :], mus[:, None], sigmas[:, None]
+            )
+            return out
         return np.stack(
             [
-                np.clip(np.asarray(d.cdf(self._grid), dtype=float), 0.0, 1.0)
+                np.clip(np.asarray(d.cdf(terms.wait), dtype=float), 0.0, 1.0)
                 for d in dists
             ]
         )
@@ -162,8 +165,9 @@ class BatchWaitSolver:
         """Accumulated net-quality curves, shape ``(N, m+1)``.
 
         Row ``i`` equals ``sweep_wait(dists[i], ks[i], tail).quality``
-        bit-for-bit: the gains/losses/cumsum below are the same
-        element-wise float operations applied along axis 1.
+        bit-for-bit: both accumulate through
+        :func:`~repro.core.quality.accumulate_net`, whose element-wise
+        float operations run along axis 1 here.
         """
         if len(dists) != len(ks):
             raise ConfigError(
@@ -179,17 +183,9 @@ class BatchWaitSolver:
                 f"gain_discount must be in (0, 1], got {gain_discount}"
             )
         tok = PROFILER.start()
-        q_tail = self.tail.values
         f = self._cdf_rows(dists)
-        kcol = np.asarray([int(k) for k in ks])[:, None]
-        held = f - f**kcol
-        q_rev = q_tail[::-1]
-        gains = gain_discount * np.diff(f, axis=1) * q_rev[None, 1:]
-        losses = held[:, :-1] * (q_rev[None, :-1] - q_rev[None, 1:])
-        net = np.concatenate(
-            [np.zeros((len(dists), 1)), np.cumsum(gains - losses, axis=1)],
-            axis=1,
-        )
+        fanouts = [int(k) for k in ks]
+        net = accumulate_net(f, fanouts, self.tail.sweep_terms, gain_discount)
         PROFILER.stop("core.waitbatch.solve", tok)
         return net
 

@@ -18,9 +18,23 @@ from ..errors import DistributionError
 from ..rng import SeedLike, resolve_rng
 from .base import Distribution
 
-__all__ = ["LogNormal"]
+__all__ = ["LogNormal", "lognormal_cdf_from_log"]
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def lognormal_cdf_from_log(log_x, mu, sigma):
+    """``LogNormal(mu, sigma).cdf`` at points given by their logs.
+
+    ``log_x`` holds ``log(x)`` of *positive* points (the CDF is 0 at
+    ``x <= 0`` and callers fill that part themselves); ``mu`` and
+    ``sigma`` are scalars or arrays broadcasting against ``log_x``. This
+    is the one copy of the log-normal CDF arithmetic: callers that
+    evaluate many log-normals on one fixed grid take the ``log`` once and
+    get the same bits as :meth:`LogNormal.cdf`. No clip is needed, since
+    ``0.5 * (1 + erf)`` already lies in [0, 1].
+    """
+    return 0.5 * (1.0 + special.erf((log_x - mu) / sigma / _SQRT2))
 
 
 class LogNormal(Distribution):
@@ -44,8 +58,8 @@ class LogNormal(Distribution):
         x = np.asarray(x, dtype=float)
         out = np.zeros_like(x)
         pos = x > 0.0
-        z = (np.log(x, where=pos, out=np.zeros_like(x)) - self.mu) / self.sigma
-        out[pos] = 0.5 * (1.0 + special.erf(z[pos] / _SQRT2))
+        log_x = np.log(x, where=pos, out=np.zeros_like(x))
+        out[pos] = lognormal_cdf_from_log(log_x[pos], self.mu, self.sigma)
         return float(out) if out.ndim == 0 else out
 
     def pdf(self, x):

@@ -11,6 +11,12 @@ fast path), Weibull and log-normal+Pareto mixtures (the generic path) —
 including the degenerate corners: near-zero sigma, deadlines a fraction
 of the grid step, and fan-out 1 (where gain and loss both vanish).
 
+Both paths also have to match an independent oracle: the sweep body as
+it was before the tail terms were cached (generic ``np.clip(cdf(grid))``
+on a fresh grid, ``np.diff``, no shared accumulation), kept inline
+below. Comparing batch against scalar alone would not catch a change to
+the arithmetic the two paths now share.
+
 The cache half: a :class:`~repro.core.waitbatch.WaitTableCache` hit
 returns the *identical float* its miss stored (so a hit can never change
 an admitted query's terminal outcome), the stored value is exactly the
@@ -21,11 +27,12 @@ bits as on-demand misses.
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Stage
-from repro.core.quality import sweep_wait
+from repro.core.quality import QualityGrid, sweep_wait
 from repro.core.wait import WaitOptimizer
 from repro.core.waitbatch import BatchWaitSolver, WaitCacheConfig, WaitTableCache
 from repro.distributions import LogNormal, Mixture, Pareto, Weibull
@@ -73,20 +80,41 @@ def _tail(mu2, sigma2, k2):
     return (Stage(duration=LogNormal(mu2, sigma2), fanout=k2),)
 
 
+def _oracle_curve(x1, k1, tail, gain_discount=1.0):
+    """The sweep body before the tail terms were cached: every family
+    through its own ``cdf`` on a freshly built grid, clipped."""
+    q_tail = tail.values
+    m = len(q_tail) - 1
+    grid = np.arange(m + 1) * tail.epsilon
+    f = np.clip(np.asarray(x1.cdf(grid), dtype=float), 0.0, 1.0)
+    held = f - f**k1
+    gains = gain_discount * np.diff(f) * q_tail[::-1][1:]
+    q_rev = q_tail[::-1]
+    losses = held[:-1] * (q_rev[:-1] - q_rev[1:])
+    return np.concatenate(([0.0], np.cumsum(gains - losses)))
+
+
 def _assert_rows_bit_identical(tail, deadline, rows, gain_discount=1.0):
-    """Each batched row == the scalar optimizer's answer, no tolerance."""
+    """Each batched row == the scalar optimizer's answer, no tolerance,
+    and both sweeps' curves == the oracle's."""
     dists = [dist for dist, _ in rows]
     ks = [k for _, k in rows]
     solver = BatchWaitSolver(tail, deadline, grid_points=GRID)
     waits = solver.solve(dists, ks, gain_discount=gain_discount)
+    curves = solver.sweep_batch(dists, ks, gain_discount=gain_discount)
     optimizer = WaitOptimizer(tail, deadline, grid_points=GRID)
     for i, (dist, k) in enumerate(rows):
+        oracle = _oracle_curve(dist, k, solver.tail, gain_discount)
+        assert np.array_equal(curves[i], oracle), (i, dist, k)
+        # a batch of one log-normal takes the vectorized log-normal path
+        alone = solver.sweep_batch([dist], [k], gain_discount=gain_discount)
+        assert np.array_equal(alone[0], oracle), (i, dist, k)
+        scalar_curve = sweep_wait(dist, k, solver.tail, gain_discount)
+        assert np.array_equal(scalar_curve.quality, oracle), (i, dist, k)
         if gain_discount == 1.0:
             scalar = optimizer.optimize(dist, k)
         else:
-            scalar = sweep_wait(
-                dist, k, solver.tail, gain_discount=gain_discount
-            ).optimal_wait
+            scalar = scalar_curve.optimal_wait
         assert waits[i] == scalar, (i, dist, k)
         assert 0.0 <= waits[i] <= deadline + 1e-9
 
@@ -142,6 +170,32 @@ def test_batch_bit_identical_with_gain_discount(
 ):
     """The failure-aware discounted sweep batches bit-identically too."""
     _assert_rows_bit_identical(_tail(mu2, sigma2, k2), d, rows, disc)
+
+
+def test_bottom_far_beyond_deadline_matches_oracle():
+    """µ far above log D: F is 0 on the whole grid (erf saturates at -1),
+    so every step gains and loses nothing on either path."""
+    d = 10.0
+    rows = [
+        (LogNormal(math.log(d) + 40.0, 0.5), 5),
+        (LogNormal(math.log(d) + 40.0, 1e-6), 1),
+        (LogNormal(1.0, 0.5), 3),
+    ]
+    _assert_rows_bit_identical(_tail(1.0, 0.5, 4), d, rows)
+    curve = sweep_wait(rows[0][0], 5, QualityGrid(1.0, np.ones(11)))
+    assert np.array_equal(curve.quality, np.zeros(11))
+
+
+def test_quality_grid_values_are_read_only():
+    """The sweep terms are cached from ``values``; a write must raise
+    rather than leave them stale."""
+    grid = WaitOptimizer(_tail(1.0, 0.5, 4), 10.0, grid_points=GRID).tail
+    terms = grid.sweep_terms
+    with pytest.raises(ValueError):
+        grid.values[1] = 0.5
+    with pytest.raises(ValueError):
+        terms.q_gain[0] = 0.5
+    assert grid.sweep_terms is terms
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.cluster import DeploymentConfig
-from repro.core import QueryContext, TreeSpec
+from repro.core import QueryContext, TreeSpec, policies
 from repro.core.policies import CedarPolicy
 from repro.distributions import LogNormal
 from repro.obs import MetricsRegistry, SpanTracer
@@ -17,6 +17,7 @@ from repro.serve import (
     QueryRequest,
     ServeConfig,
     TcpBackend,
+    pinned_config,
     pinned_workload,
 )
 from repro.simulation import simulate_query
@@ -56,6 +57,26 @@ class TestBitIdentity:
         assert first.to_json(include_outcomes=True) != second.to_json(
             include_outcomes=True
         )
+
+
+class TestOptimizerMemo:
+    """The per-policy optimizer memo is keyed on the remaining deadline,
+    so on the serve path it would grow with every request without its
+    cap; evicted optimizers are rebuilt exactly."""
+
+    def _run(self):
+        offline, requests = _pinned_requests(qps=0.08, n=3200)
+        server = CedarServer(offline_tree=offline, config=pinned_config())
+        report = server.run(requests)
+        return server.policy, report.to_json(include_outcomes=True)
+
+    def test_memo_bounded_and_eviction_changes_no_outcome(self, monkeypatch):
+        policy, default = self._run()
+        assert 0 < len(policy._optimizers) <= policies.MAX_OPTIMIZERS
+        monkeypatch.setattr(policies, "MAX_OPTIMIZERS", 8)
+        policy, capped = self._run()
+        assert len(policy._optimizers) <= 8
+        assert capped == default
 
 
 class TestSimulatorEquivalence:
